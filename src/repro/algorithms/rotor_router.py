@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.balancer import AlgorithmProperties, Balancer
 from repro.core.errors import BindingError
-from repro.core.structured import RotorWindow, StructuredRound
+from repro.core.structured import RotorWindow, StructuredRound, in_window
 from repro.graphs.balancing import BalancingGraph
 
 
@@ -109,34 +109,36 @@ class RotorRouter(Balancer):
                 )
 
     def _on_bind(self, graph: BalancingGraph) -> None:
+        n = graph.num_nodes
         d_plus = graph.total_degree
+        # positions is the inverse permutation of the port order (the
+        # cyclic position of each port).  One shared order is kept as
+        # a single broadcast row, not an (n, d+) tile; custom orders
+        # are stored port-major so the round's hit matrix reads each
+        # port's positions contiguously.  Both are exposed (n, d+).
         if self._custom_orders is not None:
             self._orders = np.asarray(self._custom_orders, dtype=np.int64)
+            self._positions = np.ascontiguousarray(
+                np.argsort(self._orders, axis=1).T
+            ).T
         else:
             row = interleaved_port_order(
                 graph.degree, graph.num_self_loops
             )
-            self._orders = np.tile(row, (graph.num_nodes, 1))
-        self._position_window = np.arange(d_plus)[None, :]
-        # Structured-execution precomputes: positions is the inverse
-        # permutation of the port order (cyclic position of each port);
-        # reverse_flat gathers the sender-side (n, d) edge-hit matrix
-        # to the receiver side (see RotorWindow).  Both are static per
-        # bind and shared by every round's RotorWindow.
-        self._positions = np.argsort(self._orders, axis=1)
-        self._reverse_flat = (
-            graph.adjacency * graph.degree + graph.reverse_port
-        ).ravel()
+            self._orders = np.broadcast_to(row, (n, d_plus))
+            self._positions = np.broadcast_to(np.argsort(row), (n, d_plus))
+        self._reverse_flat = _port_major_sources(graph)
 
     def refresh_topology(self, graph: BalancingGraph, dirty=None) -> None:
         """Repair ``reverse_flat`` for the mutated rows only.
 
-        ``_orders``/``_positions``/``_position_window`` depend only on
-        ``(n, d+)`` — unchanged under in-place churn — and the rotors
-        deliberately keep their positions, so the receiver-side gather
-        index is the only structure that goes stale.  Repair cost is
-        O(|dirty| * d), independent of ``n``; the counters back the
-        incrementality regression test.
+        The port orders and positions depend only on ``(n, d+)`` —
+        unchanged under in-place churn — and the rotors deliberately
+        keep their positions, so the receiver-side gather index is the
+        only structure that goes stale.  A dirty node ``v`` owns column
+        ``v`` of the port-major index; repair cost is O(|dirty| * d),
+        independent of ``n``; the counters back the incrementality
+        regression test.
         """
         self._graph = graph
         if dirty is None or self._reverse_flat is None:
@@ -146,10 +148,10 @@ class RotorRouter(Balancer):
         rows = np.asarray(dirty, dtype=np.int64)
         if rows.size == 0:
             return
-        d = graph.degree
-        view = self._reverse_flat.reshape(-1, d)
-        view[rows] = (
-            graph.adjacency[rows] * d + graph.reverse_port[rows]
+        n = graph.num_nodes
+        view = self._reverse_flat.reshape(graph.degree, n)
+        view[:, rows] = (
+            graph.reverse_port[rows].T * n + graph.adjacency_pm[:, rows]
         )
         self.refresh_rows += int(rows.size)
 
@@ -179,11 +181,14 @@ class RotorRouter(Balancer):
         quotient, extra = np.divmod(loads, d_plus)
         # Value at cyclic position k: quotient, plus 1 if k falls in the
         # window [rotor, rotor + extra) mod d+.
-        offsets = (self._position_window - self._rotors[:, None]) % d_plus
-        values = quotient[:, None] + (offsets < extra[:, None])
+        end = self._rotors + extra
+        hits = in_window(
+            np.arange(d_plus), self._rotors[:, None], end[:, None], d_plus
+        )
+        values = quotient[:, None] + hits
         sends = np.empty((graph.num_nodes, d_plus), dtype=np.int64)
         np.put_along_axis(sends, self._orders, values, axis=1)
-        self._rotors = (self._rotors + extra) % d_plus
+        self._rotors = _advance(end, d_plus)
         return sends
 
     def sends_structured(self, loads: np.ndarray, t: int) -> StructuredRound:
@@ -205,9 +210,28 @@ class RotorRouter(Balancer):
             positions=self._positions,
             reverse_flat=self._reverse_flat,
         )
-        self._rotors = (self._rotors + extra) % d_plus
+        self._rotors = _advance(self._rotors + extra, d_plus)
         return StructuredRound(
             edge_share=quotient,
             loop_base=quotient if graph.num_self_loops else None,
             window=window,
         )
+
+
+def _advance(end: np.ndarray, d_plus: int) -> np.ndarray:
+    """``end % d+`` for ``0 <= end < 2·d+``: one conditional subtract."""
+    return end - d_plus * (end >= d_plus)
+
+
+def _port_major_sources(graph: BalancingGraph) -> np.ndarray:
+    """The port-major reverse index ``reverse_flat`` (see RotorWindow).
+
+    Entry ``p·n + v`` is ``reverse_port[v, p]·n + adjacency[v, p]``:
+    where, in a port-major ``(d, n)`` matrix of sent values, the token
+    arriving at ``v`` over port ``p`` sits.
+    """
+    n = graph.num_nodes
+    sources = np.empty((graph.degree, n), dtype=np.int64)
+    np.multiply(graph.reverse_port.T, n, out=sources)
+    sources += graph.adjacency.T
+    return sources.ravel()

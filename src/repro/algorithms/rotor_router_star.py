@@ -70,7 +70,8 @@ class RotorRouterStar(Balancer):
             if loops:
                 ordinary.append(loops.pop(0))
         order = np.array(ordinary, dtype=np.int64)
-        self._orders = np.tile(order, (graph.num_nodes, 1))
+        # One order at every node: a broadcast row, not an (n, d+) tile.
+        self._orders = np.broadcast_to(order, (graph.num_nodes, order.size))
         self._cycle = d_plus - self.num_special
         self._position_window = np.arange(self._cycle)[None, :]
         self._special_index = np.arange(self.num_special)[None, :]

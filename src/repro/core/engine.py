@@ -20,7 +20,7 @@ the full ``(n, d+)`` sends matrix every round (backends: ``dense``,
 ``spmm``).  The **structured** protocol asks for a compact
 :class:`~repro.core.structured.StructuredRound` (uniform edge share +
 loop/rotor-window assignment) and executes the round matrix-free in
-O(n·d) (backends: ``structured``, ``compiled``) — at large ``n`` the
+O(n·d) (backends: ``structured``, ``partitioned``) — at large ``n`` the
 dense matrix is the entire memory and time budget, so this is the fast
 path for SEND/rotor-style schemes.
 
@@ -182,7 +182,7 @@ class Simulator:
             benchmark loops.
         engine: any name registered in :data:`repro.engines.ENGINES`
             (``"dense"``, ``"structured"``, ``"spmm"``,
-            ``"compiled"``, ...) or ``"auto"`` (default) — auto picks
+            ``"partitioned"``, ...) or ``"auto"`` (default) — auto picks
             ``structured`` when the balancer supports it and no
             attached observer demands dense sends matrices, ``dense``
             otherwise.  Structured-protocol backends carry the same

@@ -15,13 +15,13 @@ can produce it set :attr:`~repro.core.balancer.Balancer.\
 supports_structured_sends` and implement ``sends_structured``; the
 engines (:class:`~repro.core.engine.Simulator`,
 :class:`~repro.scenarios.batch.BatchRunner`) then execute rounds with a
-handful of O(n·d) operations and validate invariants on the compact
-form — no ``(n, d+)`` allocation anywhere on the hot path.  The dense
-``sends`` protocol remains the fallback for arbitrary balancers and
-for dense-requiring probes (loads-only and structured-capable probes
-ride this path; see :mod:`repro.core.probes`), and
-:meth:`StructuredRound.to_dense` reconstructs the exact sends matrix
-for parity tests.
+handful of O(n·d) operations over a port-major ``(d, n)`` layout and
+validate invariants on the compact form — no ``(n, d+)`` allocation
+anywhere on the hot path.  The dense ``sends`` protocol remains the
+fallback for arbitrary balancers and for dense-requiring probes
+(loads-only and structured-capable probes ride this path; see
+:mod:`repro.core.probes`), and :meth:`StructuredRound.to_dense`
+reconstructs the exact sends matrix for parity tests.
 
 All arrays are integer; the structured execution is bit-identical to
 the dense engine (enforced by the property suite).
@@ -37,6 +37,25 @@ from repro.core.errors import InvalidSendMatrix
 from repro.graphs.balancing import BalancingGraph
 
 
+def in_window(
+    positions: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+    d_plus: int,
+) -> np.ndarray:
+    """Bool mask: does cyclic ``positions`` lie in ``[start, end)`` mod ``d+``?
+
+    ``end = start + length`` with ``0 <= start, length < d+``, so the
+    window wraps past ``d+ - 1`` at most once: a position is inside iff
+    ``start <= position < end`` or ``position < end - d+``.  Three
+    comparisons instead of an integer ``%`` per element; all arguments
+    broadcast against each other.
+    """
+    return ((positions >= start) & (positions < end)) | (
+        positions < end - d_plus
+    )
+
+
 @dataclass
 class RotorWindow:
     """A cyclic +1 window over each node's ports, in rotor-order space.
@@ -46,62 +65,75 @@ class RotorWindow:
     ``[rotors[u], rotors[u] + extra[u])`` taken modulo ``d+``.
 
     A window describes exactly one round (fresh ``rotors``/``extra``
-    every round), so the derived hit matrices are computed at most once
-    per instance and cached — ``edge_hit_matrix``/``edge_hits``/
-    ``loop_hits`` used to redo the ``(positions - rotors) % d+`` modulo
-    work on every call, up to three times per round across the engine,
-    probe, and fault paths.  Callers must not mutate ``rotors``/
-    ``extra`` after the first query.
+    every round), so its hit matrix is computed at most once, in the
+    port-major layout the round kernel uses, and every consumer reads
+    that one matrix: :meth:`port_hits` is the ``(d, n)`` matrix itself,
+    :meth:`edge_hit_matrix` its ``(n, d)`` transposed view, and
+    :meth:`edge_hits` / :meth:`loop_hits` its column sums.  Callers
+    must not mutate ``rotors``/``extra`` after the first query.
 
     ``positions`` and ``reverse_flat`` are static per-bind precomputes
     owned by the balancer (shared across rounds):
 
     * ``positions[u, p]`` — cyclic position of port ``p`` in node
-      ``u``'s rotor order (the inverse permutation of the port order);
-    * ``reverse_flat`` — flat index ``adjacency * d + reverse_port``
-      (raveled): gathering the sender-side ``(n, d)`` edge-hit matrix
-      through it yields, for each ``(u, j)``, whether the token
-      arriving at ``u`` over port ``j`` carries the sender's window +1.
-      One hit matrix thus serves both the outgoing and the incoming
-      side of the round.
+      ``u``'s rotor order (the inverse permutation of the port order),
+      as an ``(n, d+)`` array (with one order at every node, a
+      broadcast view of a single row);
+    * ``reverse_flat`` — port-major flat index ``q·n + w`` (raveled
+      ``(d, n)``): entry ``p·n + v`` names the sender-side slot of the
+      token arriving at ``v`` over port ``p``, which was sent by
+      ``w = adjacency[v, p]`` on its port ``q = reverse_port[v, p]``.
+      Gathering the per-port values ``share + hit`` through it yields
+      every node's incoming tokens, window hits included, in one pass.
     """
 
     rotors: np.ndarray
     extra: np.ndarray
     positions: np.ndarray
     reverse_flat: np.ndarray
-    _edge_hit_cache: np.ndarray | None = field(
-        default=None, repr=False, compare=False
-    )
-    _loop_hit_cache: np.ndarray | None = field(
+    _hit_cache: np.ndarray | None = field(
         default=None, repr=False, compare=False
     )
 
+    def port_hits(self, graph: BalancingGraph) -> np.ndarray:
+        """``(d, n)`` bool: does port ``p`` of ``u`` get a window token?"""
+        if self._hit_cache is None:
+            self._hit_cache = in_window(
+                self.positions.T[: graph.degree],
+                self.rotors,
+                self.rotors + self.extra,
+                graph.total_degree,
+            )
+        return self._hit_cache
+
     def edge_hit_matrix(self, graph: BalancingGraph) -> np.ndarray:
-        """``(n, d)`` bool: does port ``j`` of ``u`` get a window token?"""
-        if self._edge_hit_cache is None:
-            d_plus = graph.total_degree
-            offsets = (
-                self.positions[:, : graph.degree] - self.rotors[:, None]
-            ) % d_plus
-            self._edge_hit_cache = offsets < self.extra[:, None]
-        return self._edge_hit_cache
+        """``(n, d)`` view of :meth:`port_hits` (node-major indexing)."""
+        return self.port_hits(graph).T
 
     def edge_hits(self, graph: BalancingGraph) -> np.ndarray:
         """Per-node count of original-edge ports inside the window."""
-        return self.edge_hit_matrix(graph).sum(axis=1)
+        return self.port_hits(graph).sum(axis=0)
 
     def loop_hits(self, graph: BalancingGraph) -> np.ndarray:
-        """Per-node count of self-loop ports inside the window."""
-        if self._loop_hit_cache is None:
-            d_plus = graph.total_degree
-            offsets = (
-                self.positions[:, graph.degree:] - self.rotors[:, None]
-            ) % d_plus
-            self._loop_hit_cache = (
-                (offsets < self.extra[:, None]).sum(axis=1)
-            )
-        return self._loop_hit_cache
+        """Per-node count of self-loop ports inside the window.
+
+        A window of length ``extra < d+`` covers exactly ``extra``
+        distinct ports, so the self-loops get whatever the edges don't.
+        """
+        return self.extra - self.edge_hits(graph)
+
+    def hit_matrix(self, graph: BalancingGraph) -> np.ndarray:
+        """``(n, d+)`` bool hits over every port, self-loops included.
+
+        Not cached: only the dense interop paths (``to_dense`` and the
+        flow tracker) need the self-loop columns.
+        """
+        return in_window(
+            self.positions,
+            self.rotors[:, None],
+            (self.rotors + self.extra)[:, None],
+            graph.total_degree,
+        )
 
 
 @dataclass
@@ -119,6 +151,11 @@ class StructuredRound:
     ``edge_share`` / ``loop_base`` / ``loop_ceil`` may carry leading
     batch dimensions (``(replicas, n)``) for stateless schemes; a
     ``window`` (stateful rotor schemes) requires plain ``(n,)`` shapes.
+
+    :meth:`apply` works port-major: per-port data is laid out ``(d, n)``
+    (port ``p`` of every node contiguous), the layout of
+    ``graph.adjacency_pm`` and of the window's ``reverse_flat`` and hit
+    matrix, so a round is ``d`` contiguous length-``n`` gathers.
     """
 
     edge_share: np.ndarray
@@ -156,14 +193,18 @@ class StructuredRound:
         is ``d·edge_share + d°·loop_base + loop_ceil + extra``
         regardless of where the window falls.
         """
-        assigned = graph.degree * self.edge_share
+        # Accumulated in place in one int64 buffer: at large n each
+        # fresh temporary costs as much as the arithmetic itself.
+        assigned = np.multiply(
+            self.edge_share, graph.degree, dtype=np.int64
+        )
         if self.loop_base is not None:
-            assigned = assigned + graph.num_self_loops * self.loop_base
+            assigned += graph.num_self_loops * self.loop_base
         if self.loop_ceil is not None:
-            assigned = assigned + self.loop_ceil
+            assigned += self.loop_ceil
         if self.window is not None:
-            assigned = assigned + self.window.extra
-        return loads - assigned
+            assigned += self.window.extra
+        return np.subtract(loads, assigned, out=assigned)
 
     # -- execution ------------------------------------------------------
 
@@ -175,23 +216,37 @@ class StructuredRound:
         Self-loop tokens and the remainder both stay at the node, so
         only the edge flows move:
         ``new = loads - edge_outflow + share-gather (+ window hits)``.
+
+        Gathers run over the port-major layout one port at a time: row
+        ``p`` of ``graph.adjacency_pm`` (or of the window's
+        ``reverse_flat``) is a contiguous length-``n`` index, so each
+        port costs one gather and one in-place add on ``(..., n)``
+        vectors and no ``(n, d)`` temporary is summed across its rows.
         """
         share = self.edge_share
-        incoming = np.take(share, graph.adjacency, axis=-1).sum(axis=-1)
-        outgoing = graph.degree * share
-        if self.window is not None:
-            # One sender-side hit matrix serves both directions: its
-            # row sums are the extra outflow, and gathering it through
-            # the precomputed reverse-edge index yields the extra
-            # inflow.
-            hits = self.window.edge_hit_matrix(graph)
-            outgoing = outgoing + hits.sum(axis=1)
-            incoming = incoming + (
-                hits.reshape(-1)[self.window.reverse_flat]
-                .reshape(graph.adjacency.shape)
-                .sum(axis=1)
+        degree = graph.degree
+        if self.window is None:
+            index, source = graph.adjacency_pm, share
+            new = loads - degree * share
+        else:
+            # Rotor rounds: the tokens each original-edge port carries
+            # are the share plus its window hit, (d, n).  Their column
+            # sums leave the node; gathering them through the
+            # port-major reverse index brings in what the neighbors
+            # sent.
+            values = share + self.window.port_hits(graph)
+            index = self.window.reverse_flat.reshape(
+                degree, graph.num_nodes
             )
-        return loads - outgoing + incoming
+            source = values.reshape(-1)
+            new = loads - values.sum(axis=0)
+        # One gather buffer reused across ports; mode="clip" keeps
+        # take() from buffering its output (indices are in range).
+        gathered = np.empty_like(new)
+        for port in range(degree):
+            np.take(source, index[port], axis=-1, out=gathered, mode="clip")
+            new += gathered
+        return new
 
     # -- validation (compact form; no dense allocation) -----------------
 
@@ -289,8 +344,5 @@ class StructuredRound:
                 np.arange(num_loops) < self.loop_ceil[..., None]
             )
         if self.window is not None:
-            offsets = (
-                self.window.positions - self.window.rotors[:, None]
-            ) % d_plus
-            sends += offsets < self.window.extra[:, None]
+            sends += self.window.hit_matrix(graph)
         return sends

@@ -12,9 +12,8 @@ modules for the four shipped backends:
 name                    protocol    kernel
 ======================  ==========  ========================================
 ``dense``               dense       numpy gather (universal fallback)
-``structured``          structured  numpy matrix-free (auto fast path)
+``structured``          structured  numpy port-major gather (auto fast path)
 ``spmm``                dense       scipy-CSR SpMM gather
-``compiled``            structured  fused rotor round (numba, or CSR)
 ``partitioned``         structured  k partitions x worker processes + shm
 ======================  ==========  ========================================
 
@@ -39,7 +38,6 @@ from repro.engines.base import (
 )
 from repro.engines import builtin as _builtin  # noqa: F401 (registers)
 from repro.engines import spmm as _spmm  # noqa: F401 (registers)
-from repro.engines import compiled as _compiled  # noqa: F401 (registers)
 from repro.engines import partitioned as _partitioned  # noqa: F401
 
 __all__ = [

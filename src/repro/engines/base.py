@@ -21,8 +21,8 @@ through one table — and new backends (a partitioned multi-core engine,
 a GPU kernel) plug in without touching the orchestrators.
 
 Every backend must be **bit-identical** to the builtin dense engine:
-all protocol state is integer, so alternative kernels (CSR SpMM, fused
-compiled loops) are exact, not approximate.  The cross-backend property
+all protocol state is integer, so alternative kernels (CSR SpMM,
+partitioned workers) are exact, not approximate.  The cross-backend property
 suite enforces this for every registered name.
 
 A backend instance is private to one ``Simulator``/``BatchRunner`` and
@@ -62,7 +62,7 @@ class EngineBackend:
             refuse dense-demanding observers, dense backends work with
             everything.
         kernel: short label of the compute flavor actually in use
-            (``"numpy"``, ``"csr"``, ``"numba"``) — surfaced by
+            (``"numpy"``, ``"csr"``) — surfaced by
             ``--list-engines`` and the E13 per-backend rows.
     """
 

@@ -392,7 +392,7 @@ class PartitionedEngine(EngineBackend):
         self.min_nodes = int(min_nodes)
         self.inline = inline
         # Graph identity -> _GraphState; same per-runner id-keyed cache
-        # discipline as the spmm/compiled operator caches.
+        # discipline as the spmm operator cache.
         self._states: dict[int, _GraphState] = {}
         self._runtime: _Runtime | None = None
 

@@ -119,32 +119,55 @@ class _BernoulliGapStream:
 
     The inter-arrival gaps of a Bernoulli process are iid
     Geometric(``rate``), so the stream draws gaps in large vectorized
-    chunks (covering ~64 rounds per RNG call) and serves each round's
-    block of ``count`` trials with one ``searchsorted`` — the
-    per-round sampling cost is O(F) in the number of hits with no RNG
-    call at all on most rounds, which is what keeps an active fault
-    schedule inside the structured engine's throughput gate.  Exactly
-    equivalent to flipping an independent coin per trial.
+    chunks (covering ~64 rounds per RNG call) and serves one round's
+    block of ``block`` trials per :meth:`take`.  Each refill also cuts
+    every whole block the drawn gaps already decide (at most
+    :attr:`READY_BLOCKS` of them) in one vectorized pass, so a round's
+    take is one slice: no RNG call and no search on most rounds, which
+    is what keeps an active fault schedule inside the structured
+    engine's throughput gate.  Exactly equivalent to flipping an
+    independent coin per trial.
     """
 
-    __slots__ = ("_rng", "_rate", "_chunk", "_pending", "_last", "_offset")
+    READY_BLOCKS = 64
+
+    __slots__ = (
+        "_rng", "_rate", "_chunk", "_block", "_pending", "_last",
+        "_offset", "_ready", "_cuts", "_next",
+    )
 
     def __init__(self, rng, rate: float, block: int) -> None:
         self._rng = rng
         self._rate = float(rate)
+        self._block = int(block)
         self._chunk = max(64, int(64 * block * rate) + 16)
         self._pending = _EMPTY_INDICES
         self._last = -1  # last absolute trial position drawn so far
-        self._offset = 0  # absolute position where the next block starts
+        self._offset = 0  # absolute position of the next uncut block
+        # Block-local hits of the cut blocks, block i at
+        # _ready[_cuts[i]:_cuts[i + 1]]; _next is the next block to serve.
+        self._ready = _EMPTY_INDICES
+        self._cuts = [0]
+        self._next = 0
 
-    def take(self, count: int) -> np.ndarray:
-        """Sorted hit indices in [0, count) for the next ``count`` trials."""
-        if self._rate <= 0.0 or count == 0:
+    def take(self) -> np.ndarray:
+        """Sorted hit indices in [0, block) for the next block of trials."""
+        if self._rate <= 0.0 or self._block == 0:
             return _EMPTY_INDICES
         if self._rate >= 1.0:
-            return np.arange(count, dtype=np.int64)
-        end = self._offset + count
-        while self._last < end - 1:
+            return np.arange(self._block, dtype=np.int64)
+        i = self._next
+        if i + 1 >= len(self._cuts):
+            self._cut_ready_blocks()
+            i = 0
+        self._next = i + 1
+        return self._ready[self._cuts[i]: self._cuts[i + 1]]
+
+    def _cut_ready_blocks(self) -> None:
+        block = self._block
+        # Draw until the next block is fully decided — the refill rule
+        # of serving one block per call, so the RNG stream is the same.
+        while self._last < self._offset + block - 1:
             gaps = self._rng.geometric(self._rate, size=self._chunk)
             # For vanishingly small rates a single geometric gap can
             # approach 2**63 and overflow the cumsum.  Clamping at 2**50
@@ -158,11 +181,15 @@ class _BernoulliGapStream:
                 self._pending = np.concatenate([self._pending, more])
             else:
                 self._pending = more
-        split = int(np.searchsorted(self._pending, end))
-        hits = self._pending[:split] - self._offset
-        self._pending = self._pending[split:]
-        self._offset = end
-        return hits
+        whole = min(
+            (self._last + 1 - self._offset) // block, self.READY_BLOCKS
+        )
+        ends = self._offset + block * np.arange(1, whole + 1)
+        cuts = np.searchsorted(self._pending, ends)
+        self._ready = (self._pending[: cuts[-1]] - self._offset) % block
+        self._cuts = [0] + cuts.tolist()
+        self._pending = self._pending[cuts[-1]:]
+        self._offset = int(ends[-1])
 
 
 class FaultSchedule:
@@ -242,7 +269,7 @@ class FaultSchedule:
 
     def _edges_to_pairs(self, selected: np.ndarray) -> np.ndarray:
         """Canonical-edge index array -> symmetric directed pairs."""
-        return self._canon_both[selected].reshape(-1, 2)
+        return self._canon_both.take(selected, axis=0).reshape(-1, 2)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
@@ -321,7 +348,7 @@ class LinkFailures(FaultSchedule):
         else:
             if self.rate == 0.0 or self._canon_u.size == 0:
                 return None
-            selected = self._coins.take(self._canon_u.size)
+            selected = self._coins.take()
         count = int(selected.size)
         if count == 0:
             return None
@@ -416,7 +443,7 @@ class NodeCrashes(FaultSchedule):
         crashing = np.zeros(n, dtype=bool)
         if active:
             if self.rate > 0.0:
-                sampled = self._coins.take(n)
+                sampled = self._coins.take()
                 crashing[sampled[~down[sampled]]] = True
             for node in self._by_round.get(t, ()):
                 if not down[node]:
@@ -514,7 +541,7 @@ class MessageDrop(FaultSchedule):
             return None
         if self.rate == 0.0 or self._real_u.size == 0:
             return None
-        selected = self._coins.take(self._real_u.size)
+        selected = self._coins.take()
         if selected.size == 0:
             return None
         self._drop_events += int(selected.size)
@@ -610,9 +637,10 @@ def structured_port_values(
 
     Every real port of node ``u`` carries ``edge_share[u]`` plus one
     window token iff the port's cyclic position falls inside the rotor
-    window — evaluated only at the F faulted pairs, never densely.
+    window — read at the F faulted pairs from the window's one hit
+    matrix (which the round's ``apply`` has already built).
     """
-    u, p = pairs[:, 0], pairs[:, 1]
+    u = pairs[:, 0]
     share = np.asarray(compact.edge_share)
     if share.ndim == 2:
         share = share[replica if replica is not None else 0]
@@ -622,12 +650,8 @@ def structured_port_values(
         # take() always materializes a fresh array, so the in-place
         # window add below cannot alias the balancer's state.
         values = share.take(u).astype(np.int64, copy=False)
-    window = compact.window
-    if window is not None:
-        hits = (
-            window.positions[u, p] - window.rotors[u]
-        ) % graph.total_degree < window.extra[u]
-        values += hits
+    if compact.window is not None:
+        values += compact.window.port_hits(graph)[pairs[:, 1], u]
     return values
 
 
@@ -644,15 +668,14 @@ def apply_round_faults(
     """
     if faults.dead.size:
         values = port_values(faults.dead)
-        senders = faults.dead[:, 0]
-        receivers = graph.adjacency[senders, faults.dead[:, 1]]
-        # One fused scatter: -value at the receiver, +value back at the
-        # sender (ufunc.at dominates this path's cost, so call it once).
-        np.add.at(
-            new_loads,
-            np.concatenate([receivers, senders]),
-            np.concatenate([-values, values]),
+        senders, ports = faults.dead.T
+        receivers = graph.adjacency_pm.ravel().take(
+            ports * graph.num_nodes + senders
         )
+        # +value back at the sender, -value at the receiver; two
+        # unbuffered scatters beat assembling one concatenated scatter.
+        np.add.at(new_loads, senders, values)
+        np.subtract.at(new_loads, receivers, values)
     dropped_tokens = 0
     if faults.dropped.size:
         values = port_values(faults.dropped)

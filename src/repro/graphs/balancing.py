@@ -64,8 +64,16 @@ class BalancingGraph:
         self._reverse_port = reverse_port_map(adjacency)
         self._reverse_port.setflags(write=False)
         self.name = name or f"graph(n={self.num_nodes}, d={self.degree})"
+        self._adjacency_pm: np.ndarray | None = None
         self._transition_matrix: np.ndarray | None = None
         self._transition_matrix_sparse = None
+
+    def __getstate__(self) -> dict:
+        # The port-major index is a pure function of the adjacency and
+        # as large as it: rebuild it on first use, never ship it.
+        state = self.__dict__.copy()
+        state["_adjacency_pm"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Basic structure
@@ -95,6 +103,18 @@ class BalancingGraph:
     def adjacency(self) -> np.ndarray:
         """Read-only ``(n, d)`` neighbor array."""
         return self._adjacency
+
+    @property
+    def adjacency_pm(self) -> np.ndarray:
+        """Read-only port-major ``(d, n)`` copy of :attr:`adjacency`.
+
+        Row ``p`` lists every node's port-``p`` neighbor contiguously,
+        which is the layout the structured round gathers over.  Built
+        on first use and cached; construction never pays for it.
+        """
+        if self._adjacency_pm is None:
+            self._adjacency_pm = port_major(self._adjacency)
+        return self._adjacency_pm
 
     @property
     def reverse_port(self) -> np.ndarray:
@@ -367,6 +387,13 @@ class BalancingGraph:
         }
 
 
+def port_major(adjacency: np.ndarray) -> np.ndarray:
+    """A read-only C-contiguous ``(d, n)`` copy of an ``(n, d)`` array."""
+    transposed = np.ascontiguousarray(adjacency.T)
+    transposed.setflags(write=False)
+    return transposed
+
+
 def degree_histogram(adjacency: np.ndarray) -> dict[int, int]:
     """Histogram of row lengths; useful when diagnosing validation errors."""
     counts: dict[int, int] = {}
@@ -409,11 +436,6 @@ def estimate_memory_bytes(
     * ``spmm`` — the dense baseline plus its ``(n, n·d+)`` CSR gather
       operator: ``n·d`` int64 data entries plus index arrays (scipy
       downcasts indices to int32 while ``n·d+`` fits).
-    * ``compiled`` — the structured baseline plus the CSR-fallback
-      rotor operator (``2·n·d`` entries: +1 reverse-edge / -1 own-port
-      halves) and its three preallocated ``(n, d)`` round buffers.
-      The numba kernel variant skips the CSR operator, so this is the
-      upper of the two flavors.
     * ``partitioned`` — the structured baseline plus the per-partition
       remapped adjacency and the two rotor-position precomputes (three
       ``(n, d)`` int64 arrays across all partitions) and the four
@@ -443,14 +465,6 @@ def estimate_memory_bytes(
             + index_bytes * (n + 1)  # indptr
         )
         return dense + operator
-    if engine == "compiled":
-        operator = (
-            8 * 2 * n * degree  # ±1 int64 data halves
-            + index_bytes * 2 * n * degree  # indices
-            + index_bytes * (n + 1)  # indptr
-        )
-        buffers = 8 * n * degree * 2 + n * degree  # offsets/values + hits
-        return structured + operator + buffers
     if engine == "partitioned":
         partition_state = 8 * n * degree * 3  # adj_local, pos_local/rev
         round_blocks = 8 * 4 * n  # share/loads/rotors/extra in shm

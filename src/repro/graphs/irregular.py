@@ -35,6 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.graphs.balancing import port_major
 from repro.graphs.errors import GraphValidationError
 
 
@@ -89,6 +90,7 @@ class PaddedBalancingGraph:
         )
         self._reverse_port.setflags(write=False)
         self.name = name or f"padded(n={n}, d_max={d_max})"
+        self._adjacency_pm: np.ndarray | None = None
         self._transition_matrix: np.ndarray | None = None
         self._transition_matrix_sparse = None
         self._node_tiers: np.ndarray | None = None
@@ -199,8 +201,20 @@ class PaddedBalancingGraph:
         return self._adjacency
 
     @property
+    def adjacency_pm(self) -> np.ndarray:
+        """Port-major ``(d_max, n)`` adjacency, built on first use."""
+        if self._adjacency_pm is None:
+            self._adjacency_pm = port_major(self._adjacency)
+        return self._adjacency_pm
+
+    @property
     def reverse_port(self) -> np.ndarray:
         return self._reverse_port
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_adjacency_pm"] = None  # rebuilt on first use
+        return state
 
     @property
     def node_tiers(self) -> np.ndarray | None:

@@ -8,7 +8,10 @@ change would cost O(n·d) per round regardless of how little changed;
 :class:`MutableBalancingGraph` instead supports O(1) in-place edge
 add/drop with incremental ``reverse_port`` repair and tracks the
 *dirty* node set so balancers can refresh only the rows that actually
-moved (see ``Balancer.refresh_topology``).
+moved (see ``Balancer.refresh_topology``).  The adjacency is stored
+port-major (``(d_max, n)``, the layout the structured round gathers
+over) and ``adjacency`` is its ``(n, d_max)`` transposed view, so the
+O(1) edge operations keep both layouts current with no repair pass.
 
 The layout discipline is the whole determinism story: an added edge
 always lands in the first padding slot (port ``true_degrees[u]``) and a
@@ -73,11 +76,15 @@ class MutableBalancingGraph:
         tier_names: Sequence[str] | None = None,
         validate: bool = True,
     ) -> None:
-        self._adjacency = np.ascontiguousarray(adjacency, dtype=np.int64)
+        # Always a private copy: a caller's array (or another mutable
+        # graph's transposed view) must never alias this storage.
+        self._adjacency_pm = np.array(
+            np.asarray(adjacency).T, dtype=np.int64, order="C"
+        )
         self.true_degrees = np.ascontiguousarray(
             true_degrees, dtype=np.int64
         )
-        n, d_max = self._adjacency.shape
+        n, d_max = self.adjacency.shape
         if self.true_degrees.shape != (n,):
             raise GraphValidationError(
                 "true_degrees length must match adjacency rows"
@@ -86,11 +93,11 @@ class MutableBalancingGraph:
             raise GraphValidationError("num_self_loops must be >= 0")
         if validate:
             PaddedBalancingGraph._check_padding(
-                self._adjacency, self.true_degrees
+                self.adjacency, self.true_degrees
             )
         if reverse_port is None:
             reverse_port = PaddedBalancingGraph._padded_reverse_port(
-                self._adjacency, self.true_degrees
+                self.adjacency, self.true_degrees
             )
         self._reverse_port = np.ascontiguousarray(
             reverse_port, dtype=np.int64
@@ -142,7 +149,7 @@ class MutableBalancingGraph:
         else:
             true_degrees = true_degrees.copy()
         return cls(
-            graph.adjacency.copy(),
+            graph.adjacency,
             true_degrees,
             graph.num_self_loops,
             reverse_port=graph.reverse_port.copy(),
@@ -200,12 +207,12 @@ class MutableBalancingGraph:
 
     @property
     def num_nodes(self) -> int:
-        return self._adjacency.shape[0]
+        return self._adjacency_pm.shape[1]
 
     @property
     def degree(self) -> int:
         """Port capacity ``d_max`` (original block width, incl. padding)."""
-        return self._adjacency.shape[1]
+        return self._adjacency_pm.shape[0]
 
     @property
     def num_self_loops(self) -> int:
@@ -217,7 +224,13 @@ class MutableBalancingGraph:
 
     @property
     def adjacency(self) -> np.ndarray:
-        return self._adjacency
+        """Writable ``(n, d_max)`` view of the port-major storage."""
+        return self._adjacency_pm.T
+
+    @property
+    def adjacency_pm(self) -> np.ndarray:
+        """The port-major ``(d_max, n)`` storage itself."""
+        return self._adjacency_pm
 
     @property
     def reverse_port(self) -> np.ndarray:
@@ -234,7 +247,7 @@ class MutableBalancingGraph:
     def neighbors(self, node: int) -> tuple[int, ...]:
         """Real neighbors only (padding excluded)."""
         deg = int(self.true_degrees[node])
-        return tuple(int(v) for v in self._adjacency[node, :deg])
+        return tuple(int(v) for v in self._adjacency_pm[:deg, node])
 
     def port_target(self, node: int, port: int) -> int:
         if not 0 <= port < self.total_degree:
@@ -242,7 +255,7 @@ class MutableBalancingGraph:
                 f"port {port} out of range [0, {self.total_degree})"
             )
         if port < self.degree:
-            return int(self._adjacency[node, port])
+            return int(self._adjacency_pm[port, node])
         return node
 
     def is_original_port(self, port: int) -> bool:
@@ -257,7 +270,7 @@ class MutableBalancingGraph:
         # on the materialized block beats a numpy comparison kernel by
         # an order of magnitude at these sizes, and this runs on every
         # churned edge of every churn round.
-        return v in self._adjacency[u, :deg].tolist()
+        return v in self._adjacency_pm[:deg, u].tolist()
 
     def transition_matrix(self) -> np.ndarray:
         """Doubly stochastic walk matrix of the *current* topology.
@@ -271,7 +284,7 @@ class MutableBalancingGraph:
         real = ports[None, :] < self.true_degrees[:, None]
         us, ps = np.nonzero(real)
         np.add.at(
-            matrix, (us, self._adjacency[us, ps]), 1.0 / d_plus
+            matrix, (us, self._adjacency_pm[ps, us]), 1.0 / d_plus
         )
         diag = np.arange(n)
         matrix[diag, diag] += (
@@ -316,8 +329,8 @@ class MutableBalancingGraph:
                 f"cannot add edge ({u}, {v}): port capacity "
                 f"{self.degree} exhausted"
             )
-        self._adjacency[u, pu] = v
-        self._adjacency[v, pv] = u
+        self._adjacency_pm[pu, u] = v
+        self._adjacency_pm[pv, v] = u
         self._reverse_port[u, pu] = pv
         self._reverse_port[v, pv] = pu
         self.true_degrees[u] = pu + 1
@@ -329,7 +342,7 @@ class MutableBalancingGraph:
         """Sever the edge between ``u`` and ``v`` (swap-remove)."""
         deg = int(self.true_degrees[u])
         try:
-            pu = self._adjacency[u, :deg].tolist().index(v)
+            pu = self._adjacency_pm[:deg, u].tolist().index(v)
         except ValueError:
             raise GraphValidationError(
                 f"cannot drop absent edge ({u}, {v})"
@@ -342,15 +355,15 @@ class MutableBalancingGraph:
         """Vacate real port ``p`` of ``u``: last real port moves in."""
         last = int(self.true_degrees[u]) - 1
         if p != last:
-            w = int(self._adjacency[u, last])
+            w = int(self._adjacency_pm[last, u])
             q = int(self._reverse_port[u, last])
-            self._adjacency[u, p] = w
+            self._adjacency_pm[p, u] = w
             self._reverse_port[u, p] = q
             # The moved edge's far endpoint must point back at the new
             # slot — the incremental reverse-port repair.
             self._reverse_port[w, q] = p
             self._dirty.add(w)
-        self._adjacency[u, last] = u
+        self._adjacency_pm[last, u] = u
         self._reverse_port[u, last] = last
         self.true_degrees[u] = last
         self._dirty.add(u)
@@ -403,20 +416,19 @@ class MutableBalancingGraph:
 
     def check_consistency(self) -> None:
         """Full structural re-validation (O(n·d); tests only)."""
-        PaddedBalancingGraph._check_padding(
-            self._adjacency, self.true_degrees
-        )
-        n, d = self._adjacency.shape
+        adjacency = self.adjacency
+        PaddedBalancingGraph._check_padding(adjacency, self.true_degrees)
+        n, d = adjacency.shape
         ports = np.arange(d)
         real = ports[None, :] < self.true_degrees[:, None]
         us, ps = np.nonzero(real)
-        vs = self._adjacency[us, ps]
+        vs = adjacency[us, ps]
         qs = self._reverse_port[us, ps]
         if np.any((qs < 0) | (qs >= self.true_degrees[vs])):
             raise GraphValidationError(
                 "reverse_port points outside the far real block"
             )
-        if not np.array_equal(self._adjacency[vs, qs], us):
+        if not np.array_equal(adjacency[vs, qs], us):
             raise GraphValidationError(
                 "reverse_port does not invert adjacency"
             )

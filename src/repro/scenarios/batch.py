@@ -160,7 +160,7 @@ class BatchRunner:
             sends matrices or compact rounds (vectorized; cheap).
         engine: any name registered in :data:`repro.engines.ENGINES`
             (``"dense"``, ``"structured"``, ``"spmm"``,
-            ``"compiled"``, ...) or ``"auto"`` (default) — auto picks
+            ``"partitioned"``, ...) or ``"auto"`` (default) — auto picks
             ``structured`` when every balancer supports it.
     """
 

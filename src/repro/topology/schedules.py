@@ -260,7 +260,7 @@ class EdgeChurn(TopologySchedule):
             else:
                 severed = _EMPTY_NODES
         else:
-            hits = self._coins.take(self._edges.shape[0])
+            hits = self._coins.take()
             # Edges still down — or rejoining this very round — are
             # not up to fail; skipping them keeps the trial count per
             # round fixed (determinism) without double-dropping.
@@ -337,7 +337,7 @@ class NodeJoinLeave(TopologySchedule):
         n = self._num_nodes
         leaving = _EMPTY_NODES
         if (self.until is None or t <= self.until) and self.rate > 0.0:
-            hits = self._coins.take(n)
+            hits = self._coins.take()
             # Nodes already away — or rejoining this very round — stay
             # out of this round's departure pool.
             leaving = hits[self._back_at[hits] < t]
@@ -551,15 +551,18 @@ class ScriptedTopology(TopologySchedule):
 
     def start(self, graph, loads: np.ndarray) -> None:
         self._snapshot(graph)
-        self._by_round: dict[int, list[tuple]] = {}
+        by_round: dict[int, list[tuple]] = {}
         for event in self.events:
-            self._by_round.setdefault(event[1], []).append(event)
+            by_round.setdefault(event[1], []).append(event)
+        # Each round's batch is assembled once here, not every round.
+        self._by_round = {
+            t: (len(batch), self._assemble(batch))
+            for t, batch in by_round.items()
+        }
         self._applied = 0
 
-    def round_events(self, t: int, loads: np.ndarray):
-        batch = self._by_round.get(t)
-        if not batch:
-            return None
+    @staticmethod
+    def _assemble(batch: list[tuple]) -> TopologyEvents:
         drops, adds, leaves, joins = [], [], [], []
         for event in batch:
             op = event[0]
@@ -571,7 +574,6 @@ class ScriptedTopology(TopologySchedule):
                 leaves.append(event[2])
             else:
                 joins.append((event[2], event[3]))
-        self._applied += len(batch)
         return TopologyEvents(
             edge_drops=(
                 np.array(drops, dtype=np.int64)
@@ -586,6 +588,14 @@ class ScriptedTopology(TopologySchedule):
             leaves=np.array(leaves, dtype=np.int64),
             joins=tuple(joins),
         )
+
+    def round_events(self, t: int, loads: np.ndarray):
+        entry = self._by_round.get(t)
+        if entry is None:
+            return None
+        count, events = entry
+        self._applied += count
+        return events
 
     def summary(self) -> dict:
         return {"topology_events_applied": self._applied}
@@ -616,17 +626,20 @@ def validate_topology_events(events: TopologyEvents, graph) -> None:
             raise InvalidTopology(
                 f"{label} must have shape (k, 2), got {pairs.shape}"
             )
-        if pairs.min() < 0 or pairs.max() >= n:
+        # Array methods, not the np.any/np.sort wrappers: a churn
+        # round's batch is a handful of pairs, so per-call overhead is
+        # the whole cost of this check.
+        lo = pairs.min(axis=1)
+        hi = pairs.max(axis=1)
+        if lo.min() < 0 or hi.max() >= n:
             raise InvalidTopology(
                 f"{label} endpoints must lie in [0, {n})"
             )
-        if np.any(pairs[:, 0] == pairs[:, 1]):
+        if (lo == hi).any():
             raise InvalidTopology(f"{label} contains a self-edge")
-        keys = np.sort(
-            np.minimum(pairs[:, 0], pairs[:, 1]) * n
-            + np.maximum(pairs[:, 0], pairs[:, 1])
-        )
-        if np.any(keys[1:] == keys[:-1]):
+        keys = lo * n + hi
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
             raise InvalidTopology(f"{label} contains duplicate edges")
     leaves = np.asarray(events.leaves)
     if leaves.size:

@@ -56,7 +56,9 @@ class DenseOnlyProbe(Probe):
 
 class TestRegistryContents:
     def test_builtin_backends_registered(self):
-        assert {"dense", "structured", "spmm", "compiled"} <= set(ENGINES)
+        assert {"dense", "structured", "spmm", "partitioned"} <= set(
+            ENGINES
+        )
 
     def test_auto_is_a_policy_not_a_backend(self):
         assert "auto" not in ENGINES
@@ -73,9 +75,7 @@ class TestRegistryContents:
         assert create_engine("structured").protocol == STRUCTURED
         assert create_engine("spmm").protocol == DENSE
         assert create_engine("spmm").kernel == "csr"
-        compiled = create_engine("compiled")
-        assert compiled.protocol == STRUCTURED
-        assert compiled.kernel in ("numba", "csr")
+        assert create_engine("partitioned").protocol == STRUCTURED
 
     def test_engine_names_sorted(self):
         assert list(engine_names()) == sorted(engine_names())
@@ -111,7 +111,7 @@ class TestUnknownEngine:
 
     def test_error_lists_registered_names(self):
         graph = _graph()
-        with pytest.raises(ValueError, match="compiled.*spmm"):
+        with pytest.raises(ValueError, match="partitioned.*spmm"):
             Simulator(
                 graph, make("send_floor"), _loads(graph), engine="nope"
             )
@@ -120,7 +120,7 @@ class TestUnknownEngine:
 class TestProtocolConstraints:
     """Structured-protocol backends inherit the structured constraints."""
 
-    @pytest.mark.parametrize("engine", ["structured", "compiled"])
+    @pytest.mark.parametrize("engine", ["structured", "partitioned"])
     def test_dense_only_balancer_rejected(self, engine):
         graph = _graph()
         with pytest.raises(
@@ -133,7 +133,7 @@ class TestProtocolConstraints:
                 engine=engine,
             )
 
-    @pytest.mark.parametrize("engine", ["structured", "compiled"])
+    @pytest.mark.parametrize("engine", ["structured", "partitioned"])
     def test_legacy_monitors_rejected(self, engine):
         graph = _graph()
         with pytest.raises(ValueError, match="monitors consume dense"):
@@ -158,7 +158,7 @@ class TestProtocolConstraints:
         assert result.rounds_executed == 10
 
     def test_auto_ignores_optional_backends(self):
-        """Auto picks dense/structured only — never spmm/compiled."""
+        """Auto picks dense/structured only — never spmm/partitioned."""
         graph = _graph()
         loads = _loads(graph)
         assert (
@@ -183,10 +183,11 @@ class TestAttachMidRun:
         assert sim.engine == "dense"
         sim.run(5)
 
-    def test_explicit_compiled_refuses_dense_probe(self):
+    def test_explicit_partitioned_refuses_dense_probe(self):
         graph = _graph()
         sim = Simulator(
-            graph, make("rotor_router"), _loads(graph), engine="compiled"
+            graph, make("rotor_router"), _loads(graph),
+            engine="partitioned",
         )
         sim.run(5)
         with pytest.raises(ValueError, match="explicitly requested"):
@@ -231,7 +232,7 @@ class TestScenarioSerialization:
 
     @pytest.mark.parametrize("executor", ["loop", "batch"])
     def test_scenario_runs_named_engine(self, executor):
-        scenario = self._scenario("compiled")
+        scenario = self._scenario("partitioned")
         reference = self._scenario("dense")
         got = scenario.run(executor=executor)
         want = reference.run(executor=executor)

@@ -212,26 +212,6 @@ class TestMemoryEstimate:
         ) - estimate_memory_bytes(n, d_plus, engine="dense")
         assert estimated == measured
 
-    def test_compiled_term_matches_operator_nbytes(self):
-        from repro.engines.compiled import _RotorOperator
-        from repro.graphs.balancing import estimate_memory_bytes
-
-        graph = self._graph()
-        ops = _RotorOperator(graph)
-        measured = (
-            ops.matrix.data.nbytes
-            + ops.matrix.indices.nbytes
-            + ops.matrix.indptr.nbytes
-            + ops.offsets.nbytes
-            + ops.hits.nbytes
-            + ops.values.nbytes
-        )
-        n, d_plus = graph.num_nodes, graph.total_degree
-        estimated = estimate_memory_bytes(
-            n, d_plus, engine="compiled", degree=graph.degree
-        ) - estimate_memory_bytes(n, d_plus, engine="structured")
-        assert estimated == measured
-
     def test_partitioned_term_matches_state_nbytes(self):
         import numpy as np
 
