@@ -4,10 +4,11 @@
 rounds) and over the rotor's port-major ``reverse_flat`` (rotor
 rounds).  These tests pin it bit-identical to ``engine="dense"`` on
 the layouts and paths the kernel special-cases — custom (non-broadcast)
-port orders, churned mutable graphs, rotor windows under link
-failures, stacked ``(B, n)`` SEND shares — and pin where the index
-lives: built lazily on first use, never at construction or bind, and
-never pickled with its graph.
+port orders, padded irregular graphs, churned mutable graphs, rotor
+windows under link failures, stacked ``(B, n)`` SEND shares — pin the
+rotor state and the one cached window-hit matrix against their modular
+definitions, and pin where the index lives: built lazily on first use,
+never at construction or bind, and never pickled with its graph.
 """
 
 import pickle
@@ -17,18 +18,29 @@ import pytest
 
 from repro.algorithms.registry import make
 from repro.algorithms.rotor_router import RotorRouter
+from repro.algorithms.rotor_router_star import RotorRouterStar
 from repro.core.engine import Simulator
+from repro.core.probes import ProbeSpec
 from repro.core.structured import in_window
 from repro.faults import FaultSpec
 from repro.faults.schedules import structured_port_values
 from repro.graphs import families
+from repro.graphs.balancing import estimate_memory_bytes
 from repro.graphs.datacenter import fat_tree
+from repro.graphs.irregular import from_irregular_edges
 from repro.graphs.mutable import MutableBalancingGraph
 from repro.lower_bounds.rotor_alternating import (
     build_rotor_alternating_instance,
 )
 from repro.scenarios.batch import BatchRunner
 from repro.topology import TopologySpec
+
+
+def _irregular():
+    """A padded graph: degrees 1-4, so padding ports are self-loops."""
+    return from_irregular_edges(
+        7, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5), (5, 6), (6, 0)]
+    )
 
 
 def _loads(graph, seed=11, high=120):
@@ -92,6 +104,125 @@ class TestCustomPortOrders:
             torus9.num_nodes,
             torus9.total_degree,
         )
+
+
+class TestRotorState:
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_rotors_match_dense(self, expander24, custom):
+        # Rotors advance by a conditional subtract on both paths; the
+        # state after every round equals the modular definition.
+        rng = np.random.default_rng(5)
+        n, d_plus = expander24.num_nodes, expander24.total_degree
+        kwargs = {}
+        if custom:
+            kwargs = {
+                "port_orders": np.stack(
+                    [rng.permutation(d_plus) for _ in range(n)]
+                ),
+                "initial_rotors": rng.integers(0, d_plus, n),
+            }
+        balancers = {}
+        for engine in ("dense", "structured"):
+            balancers[engine] = RotorRouter(**kwargs)
+            simulator = Simulator(
+                expander24,
+                balancers[engine],
+                _loads(expander24),
+                engine=engine,
+            )
+            expected = balancers[engine].rotors.copy()
+            for _ in range(10):
+                loads = simulator.loads.copy()
+                simulator.step()
+                expected = (expected + loads % d_plus) % d_plus
+                np.testing.assert_array_equal(
+                    balancers[engine].rotors, expected
+                )
+        np.testing.assert_array_equal(
+            balancers["dense"].rotors, balancers["structured"].rotors
+        )
+
+    def test_window_hits_match_modular_definition(self, expander24):
+        rng = np.random.default_rng(8)
+        n, d_plus = expander24.num_nodes, expander24.total_degree
+        degree = expander24.degree
+        orders = np.stack([rng.permutation(d_plus) for _ in range(n)])
+        balancer = RotorRouter(port_orders=orders).bind(expander24)
+        loads = _loads(expander24)
+        for t in range(1, 6):
+            window = balancer.sends_structured(loads, t).window
+            offsets = (window.positions - window.rotors[:, None]) % d_plus
+            hits = offsets < window.extra[:, None]
+            np.testing.assert_array_equal(
+                window.edge_hit_matrix(expander24), hits[:, :degree]
+            )
+            np.testing.assert_array_equal(
+                window.edge_hits(expander24), hits[:, :degree].sum(axis=1)
+            )
+            np.testing.assert_array_equal(
+                window.loop_hits(expander24), hits[:, degree:].sum(axis=1)
+            )
+            np.testing.assert_array_equal(
+                window.hit_matrix(expander24), hits
+            )
+            loads = balancer.sends_structured(loads, t).apply(
+                expander24, loads
+            )
+
+    def test_one_hit_matrix_per_round(self, torus9):
+        balancer = make("rotor_router").bind(torus9)
+        window = balancer.sends_structured(_loads(torus9), 1).window
+        first = window.port_hits(torus9)
+        assert window.port_hits(torus9) is first
+        assert first.shape == (torus9.degree, torus9.num_nodes)
+        assert np.shares_memory(window.edge_hit_matrix(torus9), first)
+
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_cumulative_fairness_matches_dense(self, expander24, custom):
+        # The probe's structured path reads the cached hit matrix.
+        rng = np.random.default_rng(2)
+        n, d_plus = expander24.num_nodes, expander24.total_degree
+        orders = (
+            np.stack([rng.permutation(d_plus) for _ in range(n)])
+            if custom
+            else None
+        )
+        observed = {}
+        for engine in ("dense", "structured"):
+            probe = ProbeSpec("cumulative_fairness").build()
+            Simulator(
+                expander24,
+                RotorRouter(port_orders=orders),
+                _loads(expander24),
+                probes=(probe,),
+                engine=engine,
+            ).run(30)
+            observed[engine] = probe.observed_delta
+        assert observed["dense"] == observed["structured"]
+
+    def test_rotor_router_star_broadcast_orders(self, cycle12):
+        # One order at every node is a broadcast row; a materialized
+        # (n, d+) tile of the same order sends the same tokens.
+        broadcast = RotorRouterStar().bind(cycle12)
+        assert broadcast._orders.strides[0] == 0
+        tiled = RotorRouterStar().bind(cycle12)
+        tiled._orders = np.ascontiguousarray(tiled._orders)
+        for t in range(1, 9):
+            loads = _loads(cycle12, seed=t)
+            np.testing.assert_array_equal(
+                broadcast.sends(loads, t), tiled.sends(loads, t)
+            )
+            np.testing.assert_array_equal(broadcast.rotors, tiled.rotors)
+
+
+class TestPaddedGraphs:
+    @pytest.mark.parametrize("algorithm", ["send_floor", "rotor_router"])
+    def test_irregular_graph_matches_dense(self, algorithm):
+        graph = _irregular()
+        dense, fast = _trajectories(
+            graph, lambda: make(algorithm), _loads(graph), 20
+        )
+        _assert_same(dense, fast)
 
 
 class TestChurnedGraphs:
@@ -237,7 +368,8 @@ class TestBatchedSendStacks:
 
 class TestIndexLifecycle:
     @pytest.mark.parametrize(
-        "build", [lambda: families.cycle(16), lambda: fat_tree(4)]
+        "build",
+        [lambda: families.cycle(16), lambda: fat_tree(4), _irregular],
     )
     def test_not_built_by_construction_or_bind(self, build):
         graph = build()
@@ -252,7 +384,8 @@ class TestIndexLifecycle:
         assert not graph.adjacency_pm.flags.writeable
 
     @pytest.mark.parametrize(
-        "build", [lambda: families.cycle(64), lambda: fat_tree(4)]
+        "build",
+        [lambda: families.cycle(64), lambda: fat_tree(4), _irregular],
     )
     def test_built_index_is_not_pickled(self, build):
         graph = build()
@@ -286,3 +419,11 @@ def test_in_window_matches_modular_definition():
         positions, start[:, None], (start + length)[:, None], d_plus
     )
     np.testing.assert_array_equal(got, expected)
+
+
+def test_compiled_engine_is_gone():
+    graph = families.cycle(8)
+    with pytest.raises(ValueError, match="unknown engine 'compiled'"):
+        Simulator(graph, make("send_floor"), _loads(graph), engine="compiled")
+    with pytest.raises(ValueError, match="unknown engine 'compiled'"):
+        estimate_memory_bytes(1024, 4, engine="compiled")
